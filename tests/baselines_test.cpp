@@ -11,6 +11,7 @@
 #include "kernels/samlike.h"
 #include "kernels/scan_baseline.h"
 #include "kernels/serial.h"
+#include "test_names.h"
 #include "util/compare.h"
 
 namespace plr {
@@ -44,6 +45,13 @@ struct ScanCase {
     std::size_t n;
 };
 
+std::string
+scan_case_name(const ::testing::TestParamInfo<ScanCase>& info)
+{
+    return test_names::signature_slug(info.param.signature) + "_n" +
+           std::to_string(info.param.n);
+}
+
 class ScanSweep : public ::testing::TestWithParam<ScanCase> {};
 
 TEST_P(ScanSweep, IntMatchesSerial)
@@ -64,7 +72,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ScanCase{"(1: 3, -3, 1)", 999},
                       ScanCase{"(1: 1, 1)", 513},
                       ScanCase{"(2, 1: 3, -1)", 700},
-                      ScanCase{"(1: 1)", 1}, ScanCase{"(1: 2, -1)", 127}));
+                      ScanCase{"(1: 1)", 1}, ScanCase{"(1: 2, -1)", 127}),
+    scan_case_name);
 
 TEST(ScanBaseline, FloatFilterWithinTolerance)
 {
@@ -146,7 +155,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ScanCase{"(1: 0, 0, 0, 1)", 999},
                       ScanCase{"(1: 2, -1)", 1000},
                       ScanCase{"(1: 3, -3, 1)", 1000},
-                      ScanCase{"(1: 4, -6, 4, -1)", 513}));
+                      ScanCase{"(1: 4, -6, 4, -1)", 513}),
+    scan_case_name);
 
 TEST(CubLike, HigherOrderRunsKPasses)
 {
@@ -201,7 +211,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ScanCase{"(1: 0, 0, 1)", 1002},
                       ScanCase{"(1: 2, -1)", 1000},
                       ScanCase{"(1: 3, -3, 1)", 1000},
-                      ScanCase{"(1: 4, -6, 4, -1)", 513}));
+                      ScanCase{"(1: 4, -6, 4, -1)", 513}),
+    scan_case_name);
 
 TEST(SamLike, SinglePassAtAnyOrder)
 {

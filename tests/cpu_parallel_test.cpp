@@ -5,6 +5,7 @@
 #include "dsp/filter_design.h"
 #include "dsp/signal.h"
 #include "kernels/serial.h"
+#include "test_names.h"
 #include "util/compare.h"
 #include "util/thread_pool.h"
 
@@ -16,6 +17,14 @@ struct CpuCase {
     std::size_t n;
     std::size_t threads;
 };
+
+std::string
+cpu_case_name(const ::testing::TestParamInfo<CpuCase>& info)
+{
+    return test_names::signature_slug(info.param.signature) + "_n" +
+           std::to_string(info.param.n) + "_t" +
+           std::to_string(info.param.threads);
+}
 
 class CpuParallelSweep : public ::testing::TestWithParam<CpuCase> {};
 
@@ -42,7 +51,8 @@ INSTANTIATE_TEST_SUITE_P(
                       CpuCase{"(1: 3, -3, 1)", 60000, 5},
                       CpuCase{"(2, 1: 1, -2)", 40000, 2},
                       CpuCase{"(1: 1, 1)", 30000, 16},
-                      CpuCase{"(1: 1)", 100, 4}));  // too small: serial path
+                      CpuCase{"(1: 1)", 100, 4}),  // too small: serial path
+    cpu_case_name);
 
 TEST(CpuParallel, FloatFilterWithinTolerance)
 {

@@ -6,6 +6,7 @@
 #include "dsp/signal.h"
 #include "gpusim/device.h"
 #include "kernels/serial.h"
+#include "test_names.h"
 #include "util/compare.h"
 
 namespace plr {
@@ -68,6 +69,14 @@ struct SweepCase {
     std::size_t m;
 };
 
+std::string
+sweep_case_name(const ::testing::TestParamInfo<SweepCase>& info)
+{
+    return test_names::signature_slug(info.param.signature) + "_n" +
+           std::to_string(info.param.n) + "_m" +
+           std::to_string(info.param.m);
+}
+
 class PlrIntSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(PlrIntSweep, MatchesSerialExactly)
@@ -107,7 +116,8 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{"(1, -1: 1, 0, -1)", 999, 64},
         SweepCase{"(5: -2)", 321, 32},
         // Non-power-of-two chunk size (production m = 1024x is not pow2).
-        SweepCase{"(1: 2, -1)", 1000, 96}, SweepCase{"(1: 1)", 4000, 192}));
+        SweepCase{"(1: 2, -1)", 1000, 96}, SweepCase{"(1: 1)", 4000, 192}),
+    sweep_case_name);
 
 class PlrFloatSweep : public ::testing::TestWithParam<SweepCase> {};
 
@@ -137,7 +147,8 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{"(0.9, -0.9: 0.8)", 1000, 64},
         SweepCase{"(0.81, -1.62, 0.81: 1.6, -0.64)", 2000, 128},
         SweepCase{"(1: 0.5)", 555, 64},
-        SweepCase{"(0.5, 0.25: 0.9, -0.5)", 1024, 64}));
+        SweepCase{"(0.5, 0.25: 0.9, -0.5)", 1024, 64}),
+    sweep_case_name);
 
 TEST(PlrKernel, HighPassThreeStageMatchesSerial)
 {
