@@ -1,14 +1,14 @@
 /**
  * @file
- * Native CPU wall-clock benchmark: the pooled cpu_parallel backend vs.
- * the seed per-call std::thread spawn path vs. the serial reference, on
- * a prefix-sum sweep up to 2^24 elements (Section 7's "applies equally
- * to CPUs"). Also times the C++ backend of the PLR compiler, which the
- * paper reports at ~10 ms per signature.
+ * Native CPU wall-clock benchmark: the cpu_simd backend vs. the serial
+ * reference, on a prefix-sum sweep up to 2^24 elements (Section 7's
+ * "applies equally to CPUs"). Also times the C++ backend of the PLR
+ * compiler, which the paper reports at ~10 ms per signature.
  *
  * Wall-clock numbers are machine-dependent: the baseline comparison
  * treats them as soft findings inside a wide percentage band
- * (docs/BENCH.md). The pool-vs-spawn result equality is exact and hard.
+ * (docs/BENCH.md). The cpu_simd-vs-serial result equality is exact and
+ * hard.
  */
 
 #include <chrono>
@@ -18,7 +18,6 @@
 #include "core/codegen_cpp.h"
 #include "dsp/filter_design.h"
 #include "dsp/signal.h"
-#include "kernels/cpu_parallel.h"
 #include "kernels/cpu_simd.h"
 #include "kernels/serial.h"
 #include "util/cli.h"
@@ -27,9 +26,6 @@
 
 namespace {
 
-using plr::kernels::CpuExecMode;
-using plr::kernels::CpuParallelOptions;
-using plr::kernels::CpuRunStats;
 using plr::kernels::CpuSimdOptions;
 using plr::kernels::CpuSimdStats;
 using plr::kernels::FirstOrderPath;
@@ -46,7 +42,7 @@ elapsed_ns(std::chrono::steady_clock::time_point start)
 template <typename T>
 struct TimedT {
     std::uint64_t wall_ns = 0;
-    CpuRunStats stats;
+    CpuSimdStats stats;
     std::vector<T> result;
 };
 
@@ -58,7 +54,7 @@ template <typename T, typename Run>
 void
 take_best(TimedT<T>& best, const Run& run)
 {
-    CpuRunStats stats;
+    CpuSimdStats stats;
     const auto start = std::chrono::steady_clock::now();
     auto result = run(&stats);
     const std::uint64_t wall = elapsed_ns(start);
@@ -88,59 +84,35 @@ main(int argc, char** argv)
                                    std::to_string(max_exp) + ", best of " +
                                    std::to_string(reps));
 
-    std::cout << "== Native CPU backend: pool vs spawn vs simd vs serial ==\n"
+    std::cout << "== Native CPU backend: cpu_simd vs serial ==\n"
               << "prefix sum, int32, threads=" << threads << ", best of "
               << reps << " reps; wall-clock milliseconds\n";
-    plr::TextTable table({"n", "serial", "spawn", "pool", "simd",
-                          "simd speedup", "pool phase1/carry/phase2"});
+    plr::TextTable table({"n", "serial", "simd", "simd speedup",
+                          "simd phase1/carry/phase2"});
 
     bool all_ok = true;
     for (int e = 16; e <= max_exp; e += 2) {
         const std::size_t n = std::size_t{1} << e;
         const auto input = plr::dsp::random_ints(n, 42);
 
-        // Reps are interleaved serial/spawn/pool/simd so slow drift in
-        // machine load biases no single configuration.
-        Timed serial, spawn, pool, simd;
-        CpuSimdStats simd_stats;
+        // Reps are interleaved serial/simd so slow drift in machine load
+        // biases neither configuration.
+        Timed serial, simd;
         for (int r = 0; r < reps; ++r) {
-            take_best(serial, [&](CpuRunStats* stats) {
-                *stats = CpuRunStats{};
+            take_best(serial, [&](CpuSimdStats*) {
                 return plr::kernels::serial_recurrence<plr::IntRing>(sig,
                                                                      input);
             });
-            take_best(spawn, [&](CpuRunStats* stats) {
-                return plr::kernels::cpu_parallel_recurrence<plr::IntRing>(
-                    sig, input,
-                    CpuParallelOptions{threads, CpuExecMode::kSpawn}, stats);
-            });
-            take_best(pool, [&](CpuRunStats* stats) {
-                return plr::kernels::cpu_parallel_recurrence<plr::IntRing>(
-                    sig, input,
-                    CpuParallelOptions{threads, CpuExecMode::kPool}, stats);
-            });
-            take_best(simd, [&](CpuRunStats* stats) {
+            take_best(simd, [&](CpuSimdStats* stats) {
                 CpuSimdOptions options;
                 options.threads = threads;
-                auto result = plr::kernels::cpu_simd_recurrence<plr::IntRing>(
-                    sig, input, options, &simd_stats);
-                stats->threads_used = simd_stats.threads_used;
-                stats->chunk_size = simd_stats.chunk_size;
-                stats->map_ns = simd_stats.map_ns;
-                stats->phase1_ns = simd_stats.phase1_ns;
-                stats->carry_ns = simd_stats.carry_ns;
-                stats->phase2_ns = simd_stats.phase2_ns;
-                stats->total_ns = simd_stats.total_ns;
-                return result;
+                return plr::kernels::cpu_simd_recurrence<plr::IntRing>(
+                    sig, input, options, stats);
             });
         }
 
-        // Results must be bit-identical across all four paths (exact
-        // int ring: vector reassociation preserves every bit).
-        const bool ok =
-            serial.result == spawn.result && serial.result == pool.result;
-        all_ok = all_ok && ok;
-        reporter.add_validation("exact_match.n" + std::to_string(e), ok);
+        // Results must be bit-identical (exact int ring: vector
+        // reassociation preserves every bit).
         const bool simd_ok = serial.result == simd.result;
         all_ok = all_ok && simd_ok;
         reporter.add_validation("simd.exact_match.n" + std::to_string(e),
@@ -169,22 +141,19 @@ main(int argc, char** argv)
             reporter.add_cpu_timing(rec);
         };
         record("serial", "serial", serial, 0);
-        record("cpu_parallel", "spawn", spawn, threads);
-        record("cpu_parallel", "pool", pool, threads);
-        record("cpu_simd", simd_stats.path, simd, simd_stats.threads_used);
+        record("cpu_simd", simd.stats.path, simd, simd.stats.threads_used);
 
         auto ms = [](std::uint64_t ns) {
             return plr::format_fixed(static_cast<double>(ns) / 1e6, 2);
         };
         table.add_row(
-            {plr::format_pow2(n), ms(serial.wall_ns), ms(spawn.wall_ns),
-             ms(pool.wall_ns), ms(simd.wall_ns),
+            {plr::format_pow2(n), ms(serial.wall_ns), ms(simd.wall_ns),
              plr::format_fixed(static_cast<double>(serial.wall_ns) /
                                    static_cast<double>(simd.wall_ns),
                                2) +
                  "x vs serial",
-             ms(pool.stats.phase1_ns) + " / " + ms(pool.stats.carry_ns) +
-                 " / " + ms(pool.stats.phase2_ns)});
+             ms(simd.stats.phase1_ns) + " / " + ms(simd.stats.carry_ns) +
+                 " / " + ms(simd.stats.phase2_ns)});
     }
     table.print(std::cout);
     std::cout << "(simd speedup > 1 means the vectorized backend beats the "
@@ -204,8 +173,7 @@ main(int argc, char** argv)
             const auto input = plr::dsp::random_floats(n, 42);
             TimedF serial, direct, logspace;
             for (int r = 0; r < reps; ++r) {
-                take_best(serial, [&](CpuRunStats* stats) {
-                    *stats = CpuRunStats{};
+                take_best(serial, [&](CpuSimdStats*) {
                     return plr::kernels::serial_recurrence<plr::FloatRing>(
                         decay_sig, input);
                 });
@@ -216,10 +184,10 @@ main(int argc, char** argv)
                     return plr::kernels::cpu_simd_recurrence<plr::FloatRing>(
                         decay_sig, input, options);
                 };
-                take_best(direct, [&](CpuRunStats*) {
+                take_best(direct, [&](CpuSimdStats*) {
                     return simd_run(FirstOrderPath::kDirect);
                 });
-                take_best(logspace, [&](CpuRunStats*) {
+                take_best(logspace, [&](CpuSimdStats*) {
                     return simd_run(FirstOrderPath::kLogSpace);
                 });
             }

@@ -39,7 +39,7 @@ counters_json(const gpusim::CounterSnapshot& counters)
 }
 
 json::Value
-phase_ns_json(const kernels::CpuRunStats& stats)
+phase_ns_json(const kernels::CpuSimdStats& stats)
 {
     json::Value obj = json::Value::object();
     obj.set("map", stats.map_ns);
@@ -131,7 +131,7 @@ Reporter::add_cpu_timing(const CpuTimingRecord& record)
               static_cast<std::uint64_t>(record.stats.threads_used));
     entry.set("chunk_size",
               static_cast<std::uint64_t>(record.stats.chunk_size));
-    entry.set("serial_fallback", record.stats.serial_fallback);
+    entry.set("fused", record.stats.fused);
     entry.set("phase_ns", phase_ns_json(record.stats));
     cpu_.push_back(std::move(entry));
 }

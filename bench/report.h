@@ -24,7 +24,7 @@
 
 #include "core/signature.h"
 #include "gpusim/perf_counters.h"
-#include "kernels/cpu_parallel.h"
+#include "kernels/cpu_simd.h"
 #include "util/json.h"
 
 namespace plr::bench {
@@ -34,9 +34,10 @@ inline constexpr const char* kBenchSchema = "plr-bench:v1";
 
 /** One native-CPU wall-clock record. */
 struct CpuTimingRecord {
-    /** Implementation ("cpu_parallel", "serial", "codegen_cpp"). */
+    /** Implementation ("cpu_simd", "serial", "codegen_cpp"). */
     std::string impl;
-    /** Execution mode ("pool", "spawn", "serial", "generate"). */
+    /** Execution mode (a cpu_simd Phase-A path such as "prefix",
+     * "serial", "generate"). */
     std::string mode;
     std::string signature;
     std::size_t n = 0;
@@ -47,7 +48,7 @@ struct CpuTimingRecord {
     /** Elements per second derived from wall_ns (0 when n is 0). */
     double words_per_sec = 0.0;
     /** Per-phase breakdown of the recorded run (all zero when n/a). */
-    kernels::CpuRunStats stats;
+    kernels::CpuSimdStats stats;
 };
 
 /** Accumulates one bench binary's results and serializes them. */

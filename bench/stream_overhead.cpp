@@ -194,11 +194,11 @@ main(int argc, char** argv)
                           " checkpoint-every-8-chunks over " +
                           std::to_string(reps) + " paired reps");
 
-    // 2^20 int prefix sum through the pooled parallel CPU backend.
+    // 2^20 int prefix sum through the native CPU backend.
     const Signature prefix({1.0}, {1.0});
     const auto ints = plr::dsp::random_ints(n, 42);
     const auto wi = run_workload<plr::IntRing>(
-        prefix, plr::kernels::find_kernel("cpu_parallel"), ints, reps,
+        prefix, plr::kernels::find_kernel("cpu_simd"), ints, reps,
         segment, run);
 
     // Order-1 stable float filter (one FIR tap, so the checkpoint also
@@ -239,7 +239,7 @@ main(int argc, char** argv)
               << "n = 2^" << exp << ", chunk " << run.chunk
               << ", checkpoint every 8 chunks (" << segment
               << " elements), " << reps << " paired reps\n";
-    print("int prefix sum (cpu_parallel)", wi);
+    print("int prefix sum (cpu_simd)", wi);
     print("float filter   (cpu_simd)", wf);
 
     plr::bench::write_json_if_requested(reporter, argc, argv);

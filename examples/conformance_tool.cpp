@@ -20,11 +20,11 @@
  *       also run segment-at-a-time, killed at a seed-chosen point (the
  *       in-flight checkpoint possibly torn), recovered, and compared
  *       against the one-shot reference
- *   ./conformance_tool checkpoint --to ck.plrc --kernel cpu_parallel \
+ *   ./conformance_tool checkpoint --to ck.plrc --kernel cpu_simd \
  *       --signature '(1: 2,-1)' --n 4096 --segment 256 --segments 8
  *       streams the deterministic conformance input and saves the carry
  *       state after 8 segments
- *   ./conformance_tool resume --resume-from ck.plrc --kernel cpu_parallel \
+ *   ./conformance_tool resume --resume-from ck.plrc --kernel cpu_simd \
  *       --signature '(1: 2,-1)' --n 4096
  *       loads + verifies the checkpoint (typed rejection on damage),
  *       resumes the stream, and validates the tail against the serial

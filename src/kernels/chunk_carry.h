@@ -3,8 +3,8 @@
 
 /**
  * @file
- * The sequential chunk-boundary carry fix-up shared by the native CPU
- * backends (cpu_parallel, cpu_simd).
+ * The sequential chunk-boundary carry fix-up of the native CPU backend
+ * (cpu_simd).
  *
  * After Phase A computes each chunk's recurrence with zero initial
  * state, the true last-k values flowing into chunk c are obtained by

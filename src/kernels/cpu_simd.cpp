@@ -189,7 +189,7 @@ scan_chunk(const simd::SimdScan& table, const PathPlan<Ring>& plan,
           case VecPath::kScalarPath:
             break;
         }
-    } else {
+    } else if constexpr (std::is_same_v<Ring, FloatRing>) {
         switch (plan.path) {
           case VecPath::kPrefix:
             table.prefix_sum_f32(stage.data(), out.data(), len, carry0,
@@ -232,14 +232,20 @@ run_impl(const Signature& sig,
     const std::size_t n = input.size();
     const std::size_t k = sig.order();
     PLR_REQUIRE(k >= 1, "simd recurrence needs order >= 1");
-    PLR_REQUIRE(!sig.is_max_plus(),
-                "cpu_simd does not support the max-plus semiring");
+    constexpr bool kTropical = std::is_same_v<Ring, TropicalRing>;
+    PLR_REQUIRE(sig.is_max_plus() == kTropical,
+                "cpu_simd: the ring does not match the semiring of "
+                    << sig.to_string());
 
     const simd::SimdScan& table =
         simd::scan_table(options.isa.value_or(simd::selected_isa()));
     const char* log_legality = "unknown";
+    // Max-plus has no vector table: it takes the scalar path without
+    // consulting the analyzer.
     const PathPlan<Ring> plan =
-        classify_path<Ring>(sig, options.first_order, &log_legality);
+        kTropical ? PathPlan<Ring>{}
+                  : classify_path<Ring>(sig, options.first_order,
+                                        &log_legality);
     const std::span<const V> seed_y =
         resume != nullptr ? std::span<const V>(resume->y_tail)
                           : std::span<const V>();
@@ -270,6 +276,7 @@ run_impl(const Signature& sig,
     chunk = std::max(chunk, min_chunk);
     chunk = (chunk + table.lanes - 1) / table.lanes * table.lanes;
     const std::size_t num_chunks = n == 0 ? 0 : (n + chunk - 1) / chunk;
+    threads = std::min(threads, std::max<std::size_t>(num_chunks, 1));
 
     std::vector<V> y(n);
     if (n == 0) {
@@ -280,21 +287,25 @@ run_impl(const Signature& sig,
         return y;
     }
 
-    const bool fused = threads <= 1 || num_chunks <= 1;
+    // Below the crossover one streaming pass beats chunking + carry
+    // fix-up; only auto-tuned calls take the shortcut, so callers
+    // forcing a thread count or chunk size still get the chunked path.
+    const bool below_crossover = options.threads == 0 &&
+                                 options.chunk == 0 &&
+                                 n < kCpuSerialCrossover;
+    const bool fused = below_crossover || threads <= 1 || num_chunks <= 1;
     local.fused = fused;
     local.threads_used = fused ? 1 : threads;
     local.num_chunks = fused ? 1 : num_chunks;
     local.chunk_size = fused ? n : chunk;
 
     if (fused && plan.path == VecPath::kScalarPath) {
-        std::vector<V> result(n);
-        serial_recurrence_seeded_into<Ring>(sig, seed_y, seed_x, input,
-                                            result);
+        serial_recurrence_seeded_into<Ring>(sig, seed_y, seed_x, input, y);
         if (stats) {
             local.total_ns = elapsed_ns(call_start);
             *stats = local;
         }
-        return result;
+        return y;
     }
 
     auto run_tasks = [&](std::size_t count, auto&& task) {
@@ -318,7 +329,9 @@ run_impl(const Signature& sig,
     if (map_needed) {
         const auto phase_start = Clock::now();
         t.resize(n);
-        if (sig.a().size() == 1) {
+        // scale_f32 is not a tropical multiply: max-plus maps through
+        // the generic loop below even with a single tap.
+        if (sig.a().size() == 1 && !kTropical) {
             const V a0 = Ring::from_coefficient(sig.a()[0]);
             run_tasks(num_chunks, [&](std::size_t c) {
                 const std::size_t base = c * chunk;
@@ -394,8 +407,7 @@ run_impl(const Signature& sig,
         local.phase1_ns = elapsed_ns(phase_start);
     }
 
-    // ---- Sequential chunk-boundary carry fix-up (shared with
-    // cpu_parallel).
+    // ---- Sequential chunk-boundary carry fix-up (kernels/chunk_carry.h).
     std::vector<V> carries;
     {
         const auto phase_start = Clock::now();
@@ -423,7 +435,7 @@ run_impl(const Signature& sig,
                                     carries[c * k + i - 1],
                                     props.lists[i - 1].all_equal};
                 table.correct_i32(y.data() + base, len, terms.data(), k);
-            } else {
+            } else if constexpr (std::is_same_v<Ring, FloatRing>) {
                 std::vector<simd::CorrectionTermF32> terms(k);
                 for (std::size_t i = 1; i <= k; ++i)
                     terms[i - 1] = {factors.list(i).data(),
@@ -431,6 +443,17 @@ run_impl(const Signature& sig,
                                     carries[c * k + i - 1],
                                     props.lists[i - 1].all_equal};
                 table.correct_f32(y.data() + base, len, terms.data(), k);
+            } else {
+                // Max-plus: the generic multiply-add, each list cut at
+                // its effective length like the vector terms above.
+                for (std::size_t i = 1; i <= k; ++i) {
+                    const V carry = carries[c * k + i - 1];
+                    const std::size_t limit = std::min(
+                        len, props.lists[i - 1].effective_length);
+                    for (std::size_t o = 0; o < limit; ++o)
+                        y[base + o] = Ring::mul_add(
+                            y[base + o], factors.factor(i, o), carry);
+                }
             }
         });
         local.phase2_ns = elapsed_ns(phase_start);
@@ -474,6 +497,9 @@ cpu_simd_recurrence<IntRing>(const Signature&, std::span<const std::int32_t>,
 template std::vector<float>
 cpu_simd_recurrence<FloatRing>(const Signature&, std::span<const float>,
                                const CpuSimdOptions&, CpuSimdStats*);
+template std::vector<float>
+cpu_simd_recurrence<TropicalRing>(const Signature&, std::span<const float>,
+                                  const CpuSimdOptions&, CpuSimdStats*);
 
 template std::vector<std::int32_t>
 cpu_simd_recurrence_resumed<IntRing>(const Signature&,
@@ -485,5 +511,11 @@ cpu_simd_recurrence_resumed<FloatRing>(const Signature&,
                                        std::span<const float>,
                                        const StreamState<FloatRing>&,
                                        const CpuSimdOptions&, CpuSimdStats*);
+template std::vector<float>
+cpu_simd_recurrence_resumed<TropicalRing>(const Signature&,
+                                          std::span<const float>,
+                                          const StreamState<TropicalRing>&,
+                                          const CpuSimdOptions&,
+                                          CpuSimdStats*);
 
 }  // namespace plr::kernels

@@ -3,12 +3,15 @@
 
 /**
  * @file
- * The SIMD-vectorized native CPU backend.
+ * The native CPU backend of the PLR algorithm, SIMD-vectorized.
  *
- * Same two-phase structure as cpu_parallel (chunked Phase A, sequential
- * carry fix-up, parallel Phase B), with both phases running on the
- * vector units through the runtime-dispatched SimdScan table
- * (kernels/simd/simd_scan.h):
+ * The paper points out that the algorithm, the parallelization approach,
+ * and most optimizations are not GPU specific (Section 7). This backend
+ * maps the two phases onto the shared host ThreadPool (util/thread_pool.h)
+ * — chunked Phase A, a sequential carry fix-up (kernels/chunk_carry.h),
+ * parallel Phase B, i.e. the paper's Phase 2 with the pipeline replaced
+ * by a barrier — and runs both phases on the vector units through the
+ * runtime-dispatched SimdScan table (kernels/simd/simd_scan.h):
  *
  *  - Phase A evaluates each chunk's recurrence with an intra-register
  *    Kogge-Stone scan when the signature is a prefix sum, a tuple
@@ -23,14 +26,16 @@
  *
  * Chunks are L2-blocked: even with few threads the input is cut into
  * cache-sized pieces so Phase A + Phase B of a chunk touch warm lines.
- * On a single thread (or a single chunk) the backend runs one fused
+ * On a single thread (or a single chunk), and for auto-tuned calls
+ * below kCpuSerialCrossover elements, the backend runs one fused
  * streaming pass with carry chaining and skips Phase B entirely.
  *
  * Supported rings: IntRing (bit-exact vs serial, wrap-around
- * reassociation is a ring homomorphism) and FloatRing (ULP-level
- * drift, gated by the conformance tolerances). The tropical semiring
- * is not supported — max-plus with -inf identities does not map onto
- * the multiply-add table.
+ * reassociation is a ring homomorphism), FloatRing (ULP-level drift,
+ * gated by the conformance tolerances) and TropicalRing. Max-plus has
+ * no vector table (its -inf identity does not map onto multiply-add),
+ * so it always takes the scalar Phase A and a generic Ring::mul_add
+ * map and Phase B — still chunked and threaded.
  */
 
 #include <cstddef>
@@ -59,6 +64,17 @@ enum class FirstOrderPath {
 /** Short lowercase name ("auto", "direct", "log"). */
 const char* to_string(FirstOrderPath path);
 
+/**
+ * Input size below which auto-tuned runs (threads == 0 && chunk == 0)
+ * take the fused single pass: bench/cpu_native measured the scalar
+ * chunked path losing to one serial pass at n = 2^16 and pulling ahead
+ * in the 2^17..2^18 decade, so the switch sits at the bottom of that
+ * band. An explicit thread
+ * count or chunk size bypasses it, so oracles and chunk-invariance
+ * checks still get a genuinely chunked run.
+ */
+inline constexpr std::size_t kCpuSerialCrossover = std::size_t{1} << 17;
+
 /** Tuning knobs of one cpu_simd run. */
 struct CpuSimdOptions {
     /** Host threads (0 = hardware concurrency). */
@@ -85,7 +101,8 @@ struct CpuSimdStats {
      * signature ("proven" / "fallback" / "rejected" / "unknown"); the
      * log path is only taken when proven (docs/STATIC_ANALYSIS.md). */
     const char* log_legality = "unknown";
-    /** Single streaming pass (no Phase B) was used. */
+    /** Single streaming pass (no Phase B) was used: one thread, one
+     * chunk, or an auto-tuned input below kCpuSerialCrossover. */
     bool fused = false;
     std::size_t threads_used = 0;
     std::size_t num_chunks = 0;
@@ -99,7 +116,7 @@ struct CpuSimdStats {
 
 /**
  * Compute @p sig over @p input with the tuning in @p options.
- * Ring must be IntRing or FloatRing.
+ * Ring is IntRing, FloatRing or TropicalRing.
  */
 template <typename Ring>
 std::vector<typename Ring::value_type>
@@ -112,7 +129,7 @@ cpu_simd_recurrence(const Signature& sig,
  * Streaming resume entry point (docs/STREAMING.md): evaluate @p input
  * as the continuation of the stream captured in @p state. The fused
  * single-pass path threads state.y_tail straight into the SimdScan
- * carry chain; the chunked path seeds the shared chunk_carry.h fix-up
+ * carry chain; the chunked path seeds the chunk_carry.h fix-up
  * and Phase-B-corrects chunk 0. Bit-identical to the concatenated
  * one-shot run for IntRing; ULP-level drift for floats. @p state is
  * not advanced.
@@ -131,6 +148,9 @@ cpu_simd_recurrence<IntRing>(const Signature&, std::span<const std::int32_t>,
 extern template std::vector<float>
 cpu_simd_recurrence<FloatRing>(const Signature&, std::span<const float>,
                                const CpuSimdOptions&, CpuSimdStats*);
+extern template std::vector<float>
+cpu_simd_recurrence<TropicalRing>(const Signature&, std::span<const float>,
+                                  const CpuSimdOptions&, CpuSimdStats*);
 
 extern template std::vector<std::int32_t>
 cpu_simd_recurrence_resumed<IntRing>(const Signature&,
@@ -142,6 +162,12 @@ cpu_simd_recurrence_resumed<FloatRing>(const Signature&,
                                        std::span<const float>,
                                        const StreamState<FloatRing>&,
                                        const CpuSimdOptions&, CpuSimdStats*);
+extern template std::vector<float>
+cpu_simd_recurrence_resumed<TropicalRing>(const Signature&,
+                                          std::span<const float>,
+                                          const StreamState<TropicalRing>&,
+                                          const CpuSimdOptions&,
+                                          CpuSimdStats*);
 
 }  // namespace plr::kernels
 

@@ -5,7 +5,6 @@
 
 #include "core/plan.h"
 #include "gpusim/device.h"
-#include "kernels/cpu_parallel.h"
 #include "kernels/cpu_simd.h"
 #include "kernels/cublike.h"
 #include "kernels/plr_kernel.h"
@@ -254,42 +253,13 @@ build_registry()
 
     {
         KernelInfo info;
-        info.name = "cpu_parallel";
-        info.description =
-            "native std::thread two-phase backend (Section 7 port)";
-        info.supports = [](const Signature& sig, Domain domain) {
-            return sig.order() >= 1 && domain_matches_ring(sig, domain);
-        };
-        info.run_int = [](const Signature& sig,
-                          std::span<const std::int32_t> input,
-                          const RunOptions& opts) {
-            if (input.empty())
-                return std::vector<std::int32_t>{};
-            return cpu_parallel_recurrence<IntRing>(sig, input, opts.threads);
-        };
-        info.run_float = [](const Signature& sig, std::span<const float> input,
-                            const RunOptions& opts) {
-            if (input.empty())
-                return std::vector<float>{};
-            return sig.is_max_plus()
-                       ? cpu_parallel_recurrence<TropicalRing>(sig, input,
-                                                               opts.threads)
-                       : cpu_parallel_recurrence<FloatRing>(sig, input,
-                                                            opts.threads);
-        };
-        registry.push_back(std::move(info));
-    }
-
-    {
-        KernelInfo info;
         info.name = "cpu_simd";
-        info.description =
-            "SIMD-vectorized native backend (runtime-dispatched scans)";
+        info.description = "native two-phase backend on the host thread "
+                           "pool, SIMD-vectorized (Section 7 port)";
         // Chunking is observable for floats (reassociation), so the
         // oracle's chunk-invariance variant must exercise it.
         info.supports = [](const Signature& sig, Domain domain) {
-            return sig.order() >= 1 && domain != Domain::kTropical &&
-                   domain_matches_ring(sig, domain);
+            return sig.order() >= 1 && domain_matches_ring(sig, domain);
         };
         info.run_int = [](const Signature& sig,
                           std::span<const std::int32_t> input,
@@ -308,7 +278,9 @@ build_registry()
             CpuSimdOptions options;
             options.threads = opts.threads;
             options.chunk = opts.chunk;
-            return cpu_simd_recurrence<FloatRing>(sig, input, options);
+            return sig.is_max_plus()
+                       ? cpu_simd_recurrence<TropicalRing>(sig, input, options)
+                       : cpu_simd_recurrence<FloatRing>(sig, input, options);
         };
         registry.push_back(std::move(info));
     }

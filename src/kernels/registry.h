@@ -91,7 +91,7 @@ struct RunOptions {
     /**
      * When non-null, receives the simulated device's counter totals for
      * the run. Left untouched by kernels without a simulated device
-     * (serial, cpu_parallel).
+     * (serial, cpu_simd).
      */
     gpusim::CounterSnapshot* counters = nullptr;
     /**
@@ -147,7 +147,7 @@ struct KernelInfo {
 };
 
 /**
- * All production kernels: serial (reference), plr_sim, cpu_parallel,
+ * All production kernels: serial (reference), plr_sim, cpu_simd,
  * scan, cublike, samlike. Every entry accepts empty input (returns an
  * empty result) so degenerate sizes are testable uniformly.
  */

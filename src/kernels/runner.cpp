@@ -11,7 +11,7 @@
 #include <thread>
 
 #include "gpusim/device.h"
-#include "kernels/cpu_parallel.h"
+#include "kernels/cpu_simd.h"
 #include "kernels/plr_kernel.h"
 #include "kernels/verify.h"
 #include "util/env.h"
@@ -294,12 +294,12 @@ dispatch(const Signature& sig, std::span<const typename Ring::value_type> input,
             report.stage = RecoveryStage::kCpuFallback;
             if (options.recovery_out)
                 *options.recovery_out = report;
-            return cpu_parallel_recurrence<Ring>(sig, input);
+            return cpu_simd_recurrence<Ring>(sig, input);
         }
       }
       case Backend::kCpu:
         require_cpu_compatible(options);
-        return cpu_parallel_recurrence<Ring>(sig, input);
+        return cpu_simd_recurrence<Ring>(sig, input);
     }
     PLR_PANIC("unreachable");
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <type_traits>
 
-#include "kernels/cpu_parallel.h"
 #include "kernels/cpu_simd.h"
 #include "kernels/serial.h"
 #include "util/diag.h"
@@ -120,20 +119,12 @@ StreamSession<Ring>::run_segment(std::span<const V> segment)
     if (kernel_ != nullptr) {
         // Native resume entry points: the tail goes straight into the
         // backend's carry chain.
-        if (kernel_->name == "cpu_parallel") {
-            CpuParallelOptions options;
+        if (kernel_->name == "cpu_simd") {
+            CpuSimdOptions options;
             options.threads = opts_.threads;
-            return cpu_parallel_recurrence_resumed<Ring>(sig_, segment,
-                                                         state_, options);
-        }
-        if constexpr (!std::is_same_v<Ring, TropicalRing>) {
-            if (kernel_->name == "cpu_simd") {
-                CpuSimdOptions options;
-                options.threads = opts_.threads;
-                options.chunk = opts_.chunk;
-                return cpu_simd_recurrence_resumed<Ring>(sig_, segment,
-                                                         state_, options);
-            }
+            options.chunk = opts_.chunk;
+            return cpu_simd_recurrence_resumed<Ring>(sig_, segment, state_,
+                                                     options);
         }
     }
     return run_generic(segment);

@@ -17,9 +17,9 @@
  *
  * Two resume mechanisms, same math:
  *
- *  - the native CPU backends (cpu_parallel, cpu_simd) take the y-tail
- *    straight into their carry chain (the shared chunk_carry.h fix-up,
- *    or the SimdScan carry chain on the fused path);
+ *  - the native CPU backend (cpu_simd) takes the y-tail straight into
+ *    its carry chain (the chunk_carry.h fix-up, or the SimdScan carry
+ *    chain on the fused path);
  *  - every other registry kernel — including the simulated-GPU
  *    look-back runners, whose per-chunk LookbackChain state is exactly
  *    what the checkpoint persists — runs its zero-state evaluation on

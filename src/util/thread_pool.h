@@ -3,11 +3,11 @@
 
 /**
  * @file
- * A persistent host thread pool for the native CPU backends.
+ * A persistent host thread pool for the native CPU backend.
  *
- * The seed implementation of `cpu_parallel_recurrence` spawned fresh
- * `std::thread`s for every parallel region — three spawn/join rounds per
- * call. This pool keeps the workers alive across calls: a parallel region
+ * Spawning fresh `std::thread`s for every parallel region costs three
+ * spawn/join rounds per call, which dominated small-input runs. This
+ * pool keeps the workers alive across calls: a parallel region
  * becomes one mutex-guarded dispatch plus condition-variable wakeups, and
  * the calling thread participates in the work instead of only waiting.
  *
@@ -67,7 +67,7 @@ class ThreadPool {
                       const std::function<void(std::size_t)>& task);
 
     /**
-     * The process-wide shared pool used by `cpu_parallel_recurrence`.
+     * The process-wide shared pool used by `cpu_simd_recurrence`.
      * Created on first use with the default worker count.
      */
     static ThreadPool& shared();

@@ -121,8 +121,8 @@ TEST(BenchCompare, WallClockBandIsSoftUnlessStrict)
 {
     Reporter fresh("t", "t"), baseline("t", "t");
     CpuTimingRecord rec;
-    rec.impl = "cpu_parallel";
-    rec.mode = "pool";
+    rec.impl = "cpu_simd";
+    rec.mode = "prefix";
     rec.signature = "(1: 1)";
     rec.n = 1 << 20;
     rec.threads = 4;

@@ -190,7 +190,7 @@ TEST(CheckpointMatrix, RunCaseRejectsDivergenceUnderCrash)
     // run_case with kCheckpointResume passes for a healthy kernel on a
     // seed whose plan tears the in-flight checkpoint (mid-write plans
     // exist in the first handful of seeds by construction).
-    const KernelInfo* kernel = plr::kernels::find_kernel("cpu_parallel");
+    const KernelInfo* kernel = plr::kernels::find_kernel("cpu_simd");
     ASSERT_NE(kernel, nullptr);
     const Signature sig({1.0}, {2.0, -1.0});
     RunOptions run;
@@ -212,7 +212,7 @@ TEST(CheckpointMatrix, RunCaseRejectsDivergenceUnderCrash)
 
 TEST(CheckpointMatrix, ReproducerRoundTripsCheckpointTokens)
 {
-    ConformanceFailure failure{.kernel = "cpu_parallel",
+    ConformanceFailure failure{.kernel = "cpu_simd",
                                .entry = "matrix",
                                .domain = Domain::kInt,
                                .sig = Signature({1.0}, {2.0, -1.0}),
@@ -237,7 +237,7 @@ TEST(CheckpointMatrix, ReproducerRoundTripsCheckpointTokens)
     EXPECT_EQ(repro.run.crash_seed, 11u);
     EXPECT_EQ(repro.n, 512u);
 
-    // And the replayed case passes (cpu_parallel is healthy).
+    // And the replayed case passes (cpu_simd is healthy).
     const auto replayed =
         replay(repro, plr::kernels::kernel_registry());
     EXPECT_FALSE(replayed.has_value()) << replayed->detail;

@@ -243,7 +243,7 @@ TEST(StreamSession, SegmentedIntStreamsAreBitIdentical)
         const auto input = int_input(1024);
         const auto want = serial_recurrence<IntRing>(sig, input);
         for (const char* kernel :
-             {"cpu_parallel", "cpu_simd", "plr_sim", "scan",
+             {"cpu_simd", "plr_sim", "scan",
               static_cast<const char*>(nullptr)}) {
             if (kernel != nullptr) {
                 const KernelInfo* info = find_kernel(kernel);
@@ -271,7 +271,7 @@ TEST(StreamSession, ResumeFromCheckpointIsBitIdentical)
     const auto want = serial_recurrence<IntRing>(sig, input);
     const std::span<const std::int32_t> view(input);
 
-    for (const char* kernel_name : {"cpu_parallel", "cpu_simd", "plr_sim"}) {
+    for (const char* kernel_name : {"cpu_simd", "plr_sim"}) {
         const KernelInfo* kernel = find_kernel(kernel_name);
         ASSERT_NE(kernel, nullptr);
         RunOptions opts;
@@ -321,7 +321,7 @@ TEST(StreamSession, FloatAndTropicalStreamsStayWithinGates)
         for (std::size_t i = 0; i < input.size(); ++i)
             input[i] = static_cast<float>((i * 7) % 23) - 11.0f;
         const auto want = serial_recurrence<TropicalRing>(sig, input);
-        StreamSession<TropicalRing> session(sig, find_kernel("cpu_parallel"),
+        StreamSession<TropicalRing> session(sig, find_kernel("cpu_simd"),
                                             RunOptions{});
         std::vector<float> got;
         const std::span<const float> view(input);

@@ -140,7 +140,7 @@ TEST(Repro, CoefficientsRoundTripAtFullPrecision)
 TEST(Repro, TropicalSignaturesRoundTrip)
 {
     const auto sig = Signature::max_plus({0.0, -0.25}, {-0.7, -1.3});
-    ConformanceFailure failure{"cpu_parallel", "t", Domain::kTropical, sig,
+    ConformanceFailure failure{"cpu_simd", "t", Domain::kTropical, sig,
                                Check::kDifferential, 10, {}, 1, "d"};
     const auto repro = parse_reproducer(failure.reproducer());
     EXPECT_TRUE(repro.signature().is_max_plus());
@@ -163,7 +163,7 @@ TEST(Registry, AllProductionKernelsAreDiscoverable)
 {
     const auto names = kernels::kernel_names();
     for (const char* expected :
-         {"serial", "plr_sim", "cpu_parallel", "scan", "cublike", "samlike"})
+         {"serial", "plr_sim", "cpu_simd", "scan", "cublike", "samlike"})
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
             << expected << " missing from the kernel registry";

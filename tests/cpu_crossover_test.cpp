@@ -1,23 +1,23 @@
 /**
  * @file
- * Serial-crossover policy of the cpu_parallel backend (ctest label:
- * bench). bench/cpu_native shows the chunked backend losing to plain
- * serial below ~2^17 elements, so auto-threaded runs below
- * CpuParallelOptions::serial_crossover must take the serial path — and
- * explicit thread counts must bypass the crossover so oracles and
- * chunk-invariance tests still get a genuinely parallel run. The policy
- * is observable through CpuRunStats::crossover_fallback, which is set
- * from the requested options alone (hardware-independent, so the
- * assertions hold on a 1-core CI box too).
+ * Serial-crossover policy of the cpu_simd backend (ctest label: bench).
+ * Chunking + carry fix-up loses to one streaming pass on small inputs,
+ * so auto-tuned runs (threads == 0 && chunk == 0) below
+ * kCpuSerialCrossover must take the fused single pass — and an explicit
+ * thread count or chunk size must bypass the crossover so oracles and
+ * chunk-invariance tests still get a genuinely chunked run. The policy
+ * is observable through CpuSimdStats::fused; where a run may also fuse
+ * because the machine has one core, the assertions say so.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
-#include "kernels/cpu_parallel.h"
+#include "kernels/cpu_simd.h"
 #include "util/compare.h"
 #include "util/ring.h"
 
@@ -38,12 +38,13 @@ TEST(CpuCrossover, AutoThreadedSmallInputFallsBackToSerial)
     for (std::size_t n : {std::size_t{1}, std::size_t{1000},
                           kCpuSerialCrossover - 1}) {
         const auto x = ramp(n);
-        CpuParallelOptions options;  // threads = 0 (auto)
-        CpuRunStats stats;
+        CpuSimdOptions options;  // threads = 0, chunk = 0 (auto)
+        CpuSimdStats stats;
         const auto y =
-            cpu_parallel_recurrence<IntRing>(prefix, x, options, &stats);
-        EXPECT_TRUE(stats.crossover_fallback) << "n=" << n;
+            cpu_simd_recurrence<IntRing>(prefix, x, options, &stats);
+        EXPECT_TRUE(stats.fused) << "n=" << n;
         EXPECT_EQ(stats.threads_used, 1u) << "n=" << n;
+        EXPECT_EQ(stats.phase2_ns, 0u) << "n=" << n;
         std::int32_t acc = 0;
         for (std::size_t i = 0; i < n; ++i) {
             acc += x[i];
@@ -56,26 +57,25 @@ TEST(CpuCrossover, AutoThreadedLargeInputIsNotACrossoverFallback)
 {
     const Signature prefix({1.0}, {1.0});
     const auto x = ramp(kCpuSerialCrossover);
-    CpuParallelOptions options;
-    CpuRunStats stats;
-    (void)cpu_parallel_recurrence<IntRing>(prefix, x, options, &stats);
-    // At exactly the crossover the parallel path is taken (it may still
-    // serial_fallback on a 1-core machine, but not via the crossover).
-    EXPECT_FALSE(stats.crossover_fallback);
+    CpuSimdOptions options;
+    CpuSimdStats stats;
+    (void)cpu_simd_recurrence<IntRing>(prefix, x, options, &stats);
+    // At exactly the crossover the chunked path is taken, unless the
+    // machine has a single core (then one thread means one fused pass).
+    EXPECT_EQ(stats.fused, std::thread::hardware_concurrency() <= 1);
 }
 
 TEST(CpuCrossover, ExplicitThreadCountBypassesCrossover)
 {
     const Signature prefix({1.0}, {1.0});
     const auto x = ramp(1000);  // far below the crossover
-    CpuParallelOptions options;
+    CpuSimdOptions options;
     options.threads = 3;
-    CpuRunStats stats;
-    const auto y =
-        cpu_parallel_recurrence<IntRing>(prefix, x, options, &stats);
-    EXPECT_FALSE(stats.crossover_fallback);
-    EXPECT_FALSE(stats.serial_fallback);
+    CpuSimdStats stats;
+    const auto y = cpu_simd_recurrence<IntRing>(prefix, x, options, &stats);
+    EXPECT_FALSE(stats.fused);
     EXPECT_EQ(stats.threads_used, 3u);
+    EXPECT_EQ(stats.num_chunks, 3u);
     std::int32_t acc = 0;
     for (std::size_t i = 0; i < x.size(); ++i) {
         acc += x[i];
@@ -83,19 +83,20 @@ TEST(CpuCrossover, ExplicitThreadCountBypassesCrossover)
     }
 }
 
-TEST(CpuCrossover, CrossoverIsTunablePerRun)
+TEST(CpuCrossover, ExplicitChunkSizeBypassesCrossover)
 {
     const Signature prefix({1.0}, {1.0});
-    const auto x = ramp(1000);
-    CpuParallelOptions options;
-    options.serial_crossover = 10;  // everything above 10 goes parallel
-    CpuRunStats stats;
-    (void)cpu_parallel_recurrence<IntRing>(prefix, x, options, &stats);
-    EXPECT_FALSE(stats.crossover_fallback);
-
-    options.serial_crossover = 0;  // crossover disabled entirely
-    (void)cpu_parallel_recurrence<IntRing>(prefix, x, options, &stats);
-    EXPECT_FALSE(stats.crossover_fallback);
+    const auto x = ramp(1000);  // far below the crossover
+    CpuSimdOptions options;
+    options.chunk = 256;  // threads stay auto
+    CpuSimdStats stats;
+    const auto y = cpu_simd_recurrence<IntRing>(prefix, x, options, &stats);
+    EXPECT_EQ(stats.fused, std::thread::hardware_concurrency() <= 1);
+    std::int32_t acc = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        acc += x[i];
+        ASSERT_EQ(y[i], acc) << i;
+    }
 }
 
 TEST(CpuCrossover, FallbackResultsMatchParallelBitForBit)
@@ -104,14 +105,17 @@ TEST(CpuCrossover, FallbackResultsMatchParallelBitForBit)
     // change a single bit of the result.
     const Signature fib({1.0}, {1.0, 1.0});
     const auto x = ramp(4096);
-    CpuParallelOptions auto_opts;  // below crossover -> serial path
-    CpuParallelOptions forced;
+    CpuSimdOptions auto_opts;  // below crossover -> fused pass
+    CpuSimdOptions forced;
     forced.threads = 4;  // bypasses crossover -> chunked path
-    const auto serial_path =
-        cpu_parallel_recurrence<IntRing>(fib, x, auto_opts, nullptr);
-    const auto parallel_path =
-        cpu_parallel_recurrence<IntRing>(fib, x, forced, nullptr);
-    EXPECT_TRUE(validate_exact(serial_path, parallel_path).ok);
+    CpuSimdStats auto_stats, forced_stats;
+    const auto fused_path =
+        cpu_simd_recurrence<IntRing>(fib, x, auto_opts, &auto_stats);
+    const auto chunked_path =
+        cpu_simd_recurrence<IntRing>(fib, x, forced, &forced_stats);
+    EXPECT_TRUE(auto_stats.fused);
+    EXPECT_FALSE(forced_stats.fused);
+    EXPECT_TRUE(validate_exact(fused_path, chunked_path).ok);
 }
 
 }  // namespace

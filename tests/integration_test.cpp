@@ -4,7 +4,7 @@
 #include "dsp/filter_design.h"
 #include "dsp/signal.h"
 #include "gpusim/device.h"
-#include "kernels/cpu_parallel.h"
+#include "kernels/cpu_simd.h"
 #include "kernels/cublike.h"
 #include "kernels/plr_kernel.h"
 #include "kernels/samlike.h"
@@ -51,9 +51,11 @@ TEST(Integration, AllTableOneRecurrencesThroughTheFullPipeline)
             PlrKernel<IntRing> kernel(make_plan_with_chunk(sig, n, 256, 64));
             EXPECT_TRUE(
                 validate_exact(expected, kernel.run(device, input)).ok);
+            CpuSimdOptions options;
+            options.threads = 4;
             EXPECT_TRUE(validate_exact(expected,
-                                       cpu_parallel_recurrence<IntRing>(
-                                           sig, input, 4))
+                                       cpu_simd_recurrence<IntRing>(
+                                           sig, input, options))
                             .ok);
         } else {
             const auto input = dsp::random_floats(n, 1);
@@ -63,9 +65,11 @@ TEST(Integration, AllTableOneRecurrencesThroughTheFullPipeline)
             EXPECT_TRUE(
                 validate_close(expected, kernel.run(device, input), 1e-3)
                     .ok);
+            CpuSimdOptions options;
+            options.threads = 4;
             EXPECT_TRUE(validate_close(expected,
-                                       cpu_parallel_recurrence<FloatRing>(
-                                           sig, input, 4),
+                                       cpu_simd_recurrence<FloatRing>(
+                                           sig, input, options),
                                        1e-3)
                             .ok);
         }

@@ -10,8 +10,8 @@
  * ("cpu_simd_scalar", "cpu_simd_avx2") and pushes BOTH through the full
  * differential/metamorphic oracle over the whole corpus, so every failure
  * comes back as a replayable plr-repro:v1 line. A three-way sweep then
- * asserts bit-identity between serial, cpu_parallel, and cpu_simd in the
- * exact int ring, and the two first-order float paths (direct vs
+ * asserts bit-identity between serial and cpu_simd under each ISA table
+ * in the exact int ring, and the two first-order float paths (direct vs
  * Heinsen log-space) are differentially compared against each other.
  */
 
@@ -65,7 +65,11 @@ forced_isa_kernel(Isa isa)
         options.isa = isa;
         if (input.empty())
             return std::vector<float>{};
-        return kernels::cpu_simd_recurrence<FloatRing>(sig, input, options);
+        return sig.is_max_plus()
+                   ? kernels::cpu_simd_recurrence<TropicalRing>(sig, input,
+                                                                options)
+                   : kernels::cpu_simd_recurrence<FloatRing>(sig, input,
+                                                             options);
     };
     return info;
 }
@@ -90,32 +94,29 @@ TEST(SimdDiff, ForcedIsaBackendsPassFullConformance)
 
 TEST(SimdDiff, IntRingThreeWayBitIdentity)
 {
-    // serial vs cpu_parallel vs cpu_simd over every int corpus entry:
-    // in the wrap-around int32 ring all three must agree bit-for-bit.
+    // serial vs cpu_simd under each ISA table over every int corpus
+    // entry: in the wrap-around int32 ring all must agree bit-for-bit.
     const KernelInfo* serial = kernels::find_kernel("serial");
-    const KernelInfo* parallel = kernels::find_kernel("cpu_parallel");
-    const KernelInfo* simd = kernels::find_kernel("cpu_simd");
     ASSERT_NE(serial, nullptr);
-    ASSERT_NE(parallel, nullptr);
-    ASSERT_NE(simd, nullptr);
+    std::vector<KernelInfo> simd = {forced_isa_kernel(Isa::kScalar)};
+    if (kernels::simd::scan_table(Isa::kAvx2).isa == Isa::kAvx2)
+        simd.push_back(forced_isa_kernel(Isa::kAvx2));
 
     RunOptions run;
     run.chunk = 64;
     for (const CorpusEntry& entry : full_corpus()) {
         if (entry.domain != Domain::kInt)
             continue;
-        if (!simd->supports(entry.sig, entry.domain) ||
-            !parallel->supports(entry.sig, entry.domain))
-            continue;
         for (std::size_t n : conformance_sizes(run.chunk, entry.sig.order())) {
             const auto x = conformance_input_int(n, 0xD1FFC0DEull + n);
             const auto want = serial->run_int(entry.sig, x, run);
-            const auto got_par = parallel->run_int(entry.sig, x, run);
-            const auto got_simd = simd->run_int(entry.sig, x, run);
-            EXPECT_TRUE(validate_exact(want, got_par).ok)
-                << entry.name << " cpu_parallel n=" << n;
-            EXPECT_TRUE(validate_exact(want, got_simd).ok)
-                << entry.name << " cpu_simd n=" << n;
+            for (const KernelInfo& kernel : simd) {
+                if (!kernel.supports(entry.sig, entry.domain))
+                    continue;
+                EXPECT_TRUE(
+                    validate_exact(want, kernel.run_int(entry.sig, x, run)).ok)
+                    << entry.name << " " << kernel.name << " n=" << n;
+            }
         }
     }
 }
